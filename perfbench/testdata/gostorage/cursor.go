@@ -1,0 +1,184 @@
+// Zero-copy v2 record decoding.
+//
+// The original v2 read path pulled every record field through io.ReadFull
+// calls against a bytes.Reader wrapped around the block payload — correct,
+// but each record paid interface-call overhead and a fresh encoding-slice
+// allocation. A whole block is already sitting in memory CRC-verified, so
+// blockCursor decodes records directly out of that buffer with an offset
+// cursor, and backs the decoded path encodings with a chunked element arena
+// shared across the records of a read: per-record allocations drop from one
+// (or more) per record to amortized ~1/arenaChunkElems.
+//
+// The legacy field-by-field decoder is kept (decodeRecord): v1 streams still
+// need it, and ReadOptions.LegacyDecode routes v2 payloads through it for
+// the hotpath ablation and the decode-equivalence tests.
+package storage
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"github.com/grapple-system/grapple/internal/cfet"
+	"github.com/grapple-system/grapple/internal/fsm"
+	"github.com/grapple-system/grapple/internal/grammar"
+)
+
+// arenaChunkElems sizes the element arena's allocation unit. Large enough
+// to amortize one allocation over many records, small enough that a partly
+// used final chunk wastes little.
+const arenaChunkElems = 4096
+
+// blockCursor decodes v2 records straight from a CRC-verified block
+// payload. A cursor may be reused across blocks (and files); the arena
+// chunks it hands out stay alive exactly as long as the decoded edges that
+// reference them.
+type blockCursor struct {
+	buf []byte
+	off int
+	// arena is the current element chunk; decoded encodings are capped
+	// subslices of it, so a later chunk switch never moves earlier records.
+	arena []cfet.Elem
+}
+
+// reset points the cursor at a new block payload. The arena carries over:
+// its live subslices belong to already-returned edges.
+func (c *blockCursor) reset(payload []byte) {
+	c.buf = payload
+	c.off = 0
+}
+
+// remaining reports the undecoded byte count of the current payload.
+func (c *blockCursor) remaining() int { return len(c.buf) - c.off }
+
+// corrupt tags a decode failure: inside a checksummed block every malformed
+// or truncated record is corruption, never a clean boundary.
+func (c *blockCursor) corrupt(format string, args ...any) error {
+	return fmt.Errorf("storage: %w: %s at payload offset %d", ErrCorrupt, fmt.Sprintf(format, args...), c.off)
+}
+
+// elems returns an n-element slice backed by the arena, allocating a fresh
+// chunk when the current one cannot hold n more. The three-index slice caps
+// the result so an append by a caller can never clobber a later record.
+func (c *blockCursor) elems(n int) []cfet.Elem {
+	if n > cap(c.arena)-len(c.arena) {
+		size := arenaChunkElems
+		if n > size {
+			size = n
+		}
+		c.arena = make([]cfet.Elem, 0, size)
+	}
+	lo := len(c.arena)
+	c.arena = c.arena[:lo+n]
+	return c.arena[lo : lo+n : lo+n]
+}
+
+func (c *blockCursor) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(c.buf[c.off:])
+	if n <= 0 {
+		return 0, c.corrupt("truncated or overlong %s", what)
+	}
+	c.off += n
+	return v, nil
+}
+
+// decodeBlock resets the cursor onto a CRC-verified payload and decodes
+// count records into dst, returning the grown slice and the index of the
+// record that failed (count on success or when the failure is slack bytes
+// after the last record — query remaining() for their number). On error the
+// original dst is still what the caller holds; the partially grown copy is
+// simply dropped.
+func (c *blockCursor) decodeBlock(payload []byte, count uint32, dst []Edge) ([]Edge, uint32, error) {
+	c.reset(payload)
+	for i := uint32(0); i < count; i++ {
+		var e Edge
+		if err := c.decodeRecord(&e); err != nil {
+			return dst, i, err
+		}
+		dst = append(dst, e)
+	}
+	if c.remaining() != 0 {
+		return dst, count, c.corrupt("%d bytes of slack after %d records", c.remaining(), count)
+	}
+	return dst, count, nil
+}
+
+// decodeRecord deserializes one v2 record at the cursor, the zero-copy
+// mirror of decodeRecord(r, e, true). Every failure wraps ErrCorrupt.
+func (c *blockCursor) decodeRecord(e *Edge) error {
+	if c.remaining() < 15 { // src + dst + label + gen + flags
+		return c.corrupt("truncated record head (%d bytes left)", c.remaining())
+	}
+	b := c.buf[c.off:]
+	e.Src = binary.LittleEndian.Uint32(b)
+	e.Dst = binary.LittleEndian.Uint32(b[4:])
+	e.Label = grammar.Label(binary.LittleEndian.Uint16(b[8:]))
+	e.Gen = binary.LittleEndian.Uint32(b[10:])
+	flags := b[14]
+	c.off += 15
+	if flags&^byte(1) != 0 {
+		return c.corrupt("bad record flags %#x", flags)
+	}
+	e.HasRel = flags&1 != 0
+	if e.HasRel {
+		if c.remaining() < fsm.PackedRelSize {
+			return c.corrupt("truncated rel (%d bytes left)", c.remaining())
+		}
+		rel, _, err := fsm.UnpackRel(c.buf[c.off : c.off+fsm.PackedRelSize])
+		if err != nil {
+			return c.corrupt("corrupt rel payload: %v", err)
+		}
+		e.Rel = rel
+		c.off += fsm.PackedRelSize
+	} else {
+		e.Rel = fsm.Rel{}
+	}
+	n, err := c.uvarint("enc len")
+	if err != nil {
+		return err
+	}
+	if n > maxEncElems {
+		return c.corrupt("encoding length %d exceeds limit %d", n, maxEncElems)
+	}
+	// Each element costs at least 2 bytes; reject impossible lengths before
+	// touching the arena (same defense as the legacy decoder's Len check).
+	if n > uint64(c.remaining()) {
+		return c.corrupt("encoding length %d exceeds remaining payload %d", n, c.remaining())
+	}
+	if n == 0 {
+		e.Enc = nil
+		return nil
+	}
+	enc := c.elems(int(n))
+	for i := range enc {
+		if c.remaining() < 1 {
+			return c.corrupt("truncated elem kind")
+		}
+		el := cfet.Elem{Kind: cfet.ElemKind(c.buf[c.off])}
+		c.off++
+		switch el.Kind {
+		case cfet.KInterval:
+			m, err := c.uvarint("method")
+			if err != nil {
+				return err
+			}
+			el.Method = cfet.MethodID(m)
+			if el.Start, err = c.uvarint("start"); err != nil {
+				return err
+			}
+			if el.End, err = c.uvarint("end"); err != nil {
+				return err
+			}
+		case cfet.KCall, cfet.KRet:
+			v, err := c.uvarint("call id")
+			if err != nil {
+				return err
+			}
+			el.Call = int32(v)
+		default:
+			return c.corrupt("bad elem kind %d", el.Kind)
+		}
+		enc[i] = el
+	}
+	e.Enc = cfet.Enc(enc)
+	return nil
+}
