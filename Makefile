@@ -109,18 +109,20 @@ unlowered-budget: build
 bench:
 	$(GO) run ./cmd/grapple-bench -all
 
-# Hot-path ablation table (zero-copy decode + join pooling), with the
-# machine-readable artifact committed next to EXPERIMENTS.md.
+# Hot-path table (zero-copy vs legacy decode, join cost per induced edge),
+# with the machine-readable artifact committed next to EXPERIMENTS.md.
 bench-hotpath: build
 	$(GO) run ./cmd/grapple-bench -table hotpath -hotpath-json BENCH_hotpath.json
 
 # Allocation-budget regression gates: the zero-copy read path must stay
-# near zero allocs/record (and under half of the legacy decoder), and a
-# warm SMT-cache probe from the pooled join must not allocate at all.
+# near zero allocs/record (and under half of the legacy decoder), edge keys
+# and record sizes must not allocate, a warm SMT-cache probe from the join
+# must not allocate at all, and a whole closure must stay within its
+# allocations-per-induced-edge budget (merges build in chunk scratch).
 # Run without -race: the race runtime inflates allocation counts, so these
 # tests skip themselves under it.
 alloc-budget: build
-	$(GO) test ./internal/storage/ -run TestDecodeAllocBudget -count=1
-	$(GO) test ./internal/engine/ -run TestCacheProbeZeroAlloc -count=1
+	$(GO) test ./internal/storage/ -run 'TestDecodeAllocBudget|TestKeyZeroAlloc' -count=1
+	$(GO) test ./internal/engine/ -run 'TestCacheProbeZeroAlloc|TestJoinAllocBudget' -count=1
 
 ci: vet fmt-check race test crash lint-self check-self unlowered-budget obs-smoke alloc-budget

@@ -137,9 +137,11 @@ func CheckAllContext(ctx context.Context, subjects []Subject, fsms []*FSM, opts 
 	}
 	// Batch crash recovery is instance-granular: the scheduler's completion
 	// log (not per-engine journals) decides what reruns, so the per-instance
-	// checker options carry no journal flags.
+	// checker options carry no journal flags. They carry no WorkDir either:
+	// the scheduler derives each instance's own subdirectory of the batch's
+	// WorkDir, so concurrent instances never share a partition directory.
 	iopts := opts.Options
-	iopts.Journal, iopts.Resume = false, false
+	iopts.Journal, iopts.Resume, iopts.WorkDir = false, false, ""
 	instances := scheduler.Expand(subs, groups, checkerOptions(iopts))
 	obs, err := startObs(opts.Obs, opts.WorkDir)
 	if err != nil {

@@ -3,6 +3,7 @@ package grapple
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -190,5 +191,49 @@ fun main() {
 	}
 	if len(res2.PointsTo) != 0 {
 		t.Fatal("facts recorded without opt-in")
+	}
+}
+
+// TestCheckAllWorkDirPerInstance runs two subjects' instances concurrently
+// under one batch WorkDir. Each instance must get its own partition
+// directory: sharing one lets two engines rename over each other's
+// partition files. The reports must match a run without a WorkDir.
+func TestCheckAllWorkDirPerInstance(t *testing.T) {
+	subjects := []Subject{
+		{Name: "a", Source: leaky},
+		{Name: "b", Source: `
+type Socket;
+fun main() {
+  var s: Socket = new Socket();
+  s.connect();
+  return;
+}`},
+	}
+	run := func(workDir string) []BatchReport {
+		t.Helper()
+		res, err := CheckAll(subjects, BuiltinCheckers(), BatchOptions{
+			Options:      Options{WorkDir: workDir},
+			BatchWorkers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range res.Failed() {
+			t.Errorf("WorkDir %q: instance %s/%s failed: %v", workDir, f.Subject, f.Group, f.Err)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		return res.Reports
+	}
+	for i := 0; i < 3; i++ {
+		want := run("")
+		got := run(t.TempDir())
+		if len(want) == 0 {
+			t.Fatal("no reports: the subjects must exercise the checker")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("reports with a WorkDir differ:\n got  %+v\n want %+v", got, want)
+		}
 	}
 }

@@ -121,14 +121,18 @@ func (e Enc) Skeleton() Enc {
 // never call/return structure — keeping soundness (constraints only get
 // weaker, so feasible paths are never lost).
 func (ic *ICFET) Merge(e1, e2 Enc) (Enc, bool) {
-	if len(e1) == 0 {
-		return e2.Clone(), true
+	return ic.MergeInto(make(Enc, 0, len(e1)+len(e2)), e1, e2)
+}
+
+// MergeInto is Merge building the result in dst's backing array, which it
+// overwrites from index 0; dst must not share memory with e1 or e2. The
+// result aliases dst unless it outgrows dst's capacity or the length cap
+// compacts it, so a caller that reuses dst copies out a result it keeps.
+func (ic *ICFET) MergeInto(dst, e1, e2 Enc) (Enc, bool) {
+	out := append(dst[:0], e1...)
+	if len(e1) == 0 || len(e2) == 0 {
+		return append(out, e2...), true
 	}
-	if len(e2) == 0 {
-		return e1.Clone(), true
-	}
-	out := make(Enc, 0, len(e1)+len(e2))
-	out = append(out, e1...)
 
 	// Join at the junction: last of e1 vs first of e2.
 	first := e2[0]
@@ -250,8 +254,7 @@ func (ic *ICFET) reduce(e Enc) (Enc, bool) {
 			}
 			// Remove e[j..i] inclusive; then try to join the now adjacent
 			// caller intervals.
-			tail := append(Enc{}, e[i+1:]...)
-			e = append(e[:j], tail...)
+			e = append(e[:j], e[i+1:]...)
 			if j > 0 && j < len(e) &&
 				e[j-1].Kind == KInterval && e[j].Kind == KInterval &&
 				e[j-1].Method == e[j].Method {

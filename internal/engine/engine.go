@@ -70,17 +70,10 @@ type Options struct {
 	// results or scheduling — only whether the join waits on the disk — so
 	// this exists for benchmarking the overlap (bench.IOTable).
 	DisablePrefetch bool
-	// DisablePooling turns off cross-superstep reuse of the join's scratch
-	// buffers — the frontier slice, per-chunk candidate batches, the CSR
-	// bySrc index arena, and per-chunk SMT-cache key buffers — reverting to
-	// fresh allocations and string cache keys per candidate. Pooling never
-	// changes what is computed; this is the ablation hook for the hotpath
-	// bench and the closure-identity test.
-	DisablePooling bool
 	// LegacyDecode routes partition reads through the field-by-field v2
 	// stream decoder instead of the zero-copy block cursor
 	// (storage.ReadOptions.LegacyDecode). Decoding mode never changes the
-	// edges read; ablation hook like DisablePooling.
+	// edges read; this is an ablation hook.
 	LegacyDecode bool
 	// Journal makes superstep state durable: each checkpoint flushes every
 	// partition and appends one record to a per-run journal in Dir, so a
@@ -156,21 +149,15 @@ type memPart struct {
 	lastUse int64
 }
 
-// buildBySrc indexes edges by source vertex. With pooling on it builds the
-// index CSR-style — counting pass, one shared backing array, capped
-// subslices — so a partition load costs two allocations for the index
-// instead of one per distinct source (the grow-by-append pattern this
-// replaces). The capped subslices make later appends by memPart.add spill
-// into fresh arrays, never into a neighbor's range. Slice contents and
-// iteration-relevant order are identical in both modes: indices appear in
-// increasing edge order.
+// buildBySrc indexes edges by source vertex, CSR-style: a counting pass,
+// one shared backing array, and capped subslices, so a partition load costs
+// two allocations for the index instead of one per distinct source. The
+// capped subslices make later appends by memPart.add spill into fresh
+// arrays, never into a neighbor's range. Indices appear in increasing edge
+// order.
 func (en *Engine) buildBySrc(edges []storage.Edge) map[uint32][]int32 {
-	if en.opts.DisablePooling || len(edges) == 0 {
-		bySrc := map[uint32][]int32{}
-		for i := range edges {
-			bySrc[edges[i].Src] = append(bySrc[edges[i].Src], int32(i))
-		}
-		return bySrc
+	if len(edges) == 0 {
+		return map[uint32][]int32{}
 	}
 	counts := make(map[uint32]int32, 64)
 	for i := range edges {
@@ -227,7 +214,9 @@ type Engine struct {
 	// tick is the logical clock behind memPart.lastUse.
 	tick int64
 
-	// keys globally dedupes edges (an in-memory index, like the ICFET).
+	// keys globally dedupes edges by storage.Edge.Key (an in-memory index,
+	// like the ICFET). It is read-only while a superstep's join goroutines
+	// run; see hasKey.
 	keys map[uint64]struct{}
 	// variants counts constraint variants per endpoint triple.
 	variants map[storage.Endpoint]int
@@ -239,13 +228,14 @@ type Engine struct {
 	// default; Options.LegacyDecode flips it).
 	readOpts storage.ReadOptions
 
-	// Join scratch reused across supersteps (left nil when
-	// Options.DisablePooling): the superstep loop is single-threaded, so by
-	// the time processPair runs again the previous superstep's frontier,
-	// chunk bounds, and candidate batches have all been consumed.
+	// Join scratch reused across supersteps: the superstep loop is
+	// single-threaded, so by the time processPair runs again the previous
+	// superstep's frontier, chunk bounds, and candidate batches have all
+	// been consumed. expandBuf backs expand's result.
 	firstsBuf []*storage.Edge
 	chunkBuf  [][2]int
 	scratch   []*joinScratch
+	expandBuf []candidate
 
 	// jw is the run journal while Options.Journal is on (or after resume);
 	// jseq numbers the next checkpoint record.
@@ -261,6 +251,12 @@ type Engine struct {
 	stats Stats
 	mu    sync.Mutex
 }
+
+// keyAudit, when non-nil, is called on every dedupe-index insert (added)
+// and on every probe that finds its key, with the edge the key was computed
+// from. Tests set it to prove that no two distinct edges share a key;
+// nothing else does.
+var keyAudit func(en *Engine, e storage.Edge, k uint64, added bool)
 
 // New creates an engine over an ICFET index and a grammar.
 func New(ic *cfet.ICFET, g *grammar.Grammar, opts Options, bd *metrics.Breakdown) *Engine {
@@ -478,14 +474,13 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 	var all []storage.Edge
 	for _, e := range initial {
 		e.Gen = 0
-		for _, v := range en.expand(e) {
-			k := v.Key()
-			if _, dup := en.keys[k]; dup {
+		for _, v := range en.expand(e, e.Key()) {
+			if en.hasKey(v.key, &v.edge) {
 				continue
 			}
-			en.keys[k] = struct{}{}
-			en.variants[v.Endpoint()]++
-			all = append(all, v)
+			en.addKey(v.key, &v.edge)
+			en.variants[v.edge.Endpoint()]++
+			all = append(all, v.edge)
 		}
 	}
 	en.mu.Lock()
@@ -569,35 +564,38 @@ func (en *Engine) preprocess(initial []storage.Edge, numVertices uint32) error {
 	return nil
 }
 
-// expand closes one edge under unary and mirror productions.
-func (en *Engine) expand(e storage.Edge) []storage.Edge {
-	out := []storage.Edge{e}
+// expand returns the closure of one edge, whose dedupe key is k, under
+// unary and mirror productions, each variant with its own key and the input
+// first. The result lives in en.expandBuf and is valid until the next call.
+// Variants share the input's Rel and Enc, so two of them are the same edge
+// exactly when their endpoints match; the scan for that also keeps the
+// closure finite should a grammar ever mirror a mirror.
+func (en *Engine) expand(e storage.Edge, k uint64) []candidate {
+	out := append(en.expandBuf[:0], candidate{edge: e, key: k})
+	add := func(d storage.Edge) {
+		for _, c := range out {
+			if c.edge.Endpoint() == d.Endpoint() {
+				return
+			}
+		}
+		out = append(out, candidate{edge: d, key: d.Key()})
+	}
 	for i := 0; i < len(out); i++ {
-		cur := out[i]
+		cur := out[i].edge
 		for _, head := range en.g.MatchUnary(cur.Label) {
 			d := cur
 			d.Label = head
-			out = append(out, d)
+			add(d)
 		}
 		if m := en.g.Mirror(cur.Label); m != grammar.NoLabel {
 			d := cur
 			d.Src, d.Dst = cur.Dst, cur.Src
 			d.Label = m
-			out = append(out, d)
+			add(d)
 		}
 	}
-	// Dedup within the expansion (mirror of mirror etc. cannot occur with
-	// our grammars, but be safe).
-	seen := map[uint64]bool{}
-	kept := out[:0]
-	for _, v := range out {
-		k := v.Key()
-		if !seen[k] {
-			seen[k] = true
-			kept = append(kept, v)
-		}
-	}
-	return kept
+	en.expandBuf = out
+	return out
 }
 
 // partOf maps a vertex to its owning partition index.

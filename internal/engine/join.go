@@ -15,20 +15,60 @@ import (
 	"github.com/grapple-system/grapple/internal/trace"
 )
 
-// candidate is a validated induced edge awaiting insertion.
+// candidate is a validated induced edge awaiting insertion, with the dedupe
+// key the join's pre-check already computed for it. A join candidate's Enc
+// lives in its chunk's arena until insert copies it out.
 type candidate struct {
 	edge storage.Edge
+	key  uint64
 }
 
 // joinScratch is one join chunk's reusable buffers: the candidate batch the
-// chunk produces and the SMT-cache key scratch its probes encode into. The
-// superstep loop is single-threaded, so a chunk's batch from superstep N is
-// fully consumed (inserted) before superstep N+1 hands the same scratch to
-// another goroutine; within a superstep each chunk owns its scratch
-// exclusively.
+// chunk produces, the SMT-cache key scratch its probes encode into, the
+// encoding its path merges build in, and the arena holding the encodings of
+// the batch's candidates. The superstep loop is single-threaded, so a
+// chunk's batch from superstep N is fully consumed (inserted) before
+// superstep N+1 hands the same scratch to another goroutine; within a
+// superstep each chunk owns its scratch exclusively.
 type joinScratch struct {
-	out    []candidate
+	out    slab[candidate]
 	keyBuf []byte
+	merged cfet.Enc
+	arena  slab[cfet.Elem]
+}
+
+// slab is an append-only store kept in fixed-size chunks that reset refills
+// from the start. Growing it never copies stored elements, and once it has
+// held a superstep's worth it never allocates; a plain slice would copy,
+// and fault in fresh pages for, every doubling of a large batch.
+type slab[T any] struct {
+	chunks [][]T // each chunk's length is its used prefix
+	cur    int
+}
+
+const slabChunk = 4096
+
+func (s *slab[T]) reset() {
+	for i := range s.chunks {
+		s.chunks[i] = s.chunks[i][:0]
+	}
+	s.cur = 0
+}
+
+// alloc returns n contiguous elements within one chunk, capped at n so an
+// append through the result can never overwrite a neighbor.
+func (s *slab[T]) alloc(n int) []T {
+	for s.cur < len(s.chunks) && cap(s.chunks[s.cur])-len(s.chunks[s.cur]) < n {
+		s.cur++
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, 0, max(slabChunk, n)))
+	}
+	c := s.chunks[s.cur]
+	lo := len(c)
+	c = c[:lo+n]
+	s.chunks[s.cur] = c
+	return c[lo : lo+n : lo+n]
 }
 
 // splitRange appends to dst the bounds of at most `workers` contiguous,
@@ -82,15 +122,11 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	en.curGen++
 	gen := en.curGen
 
-	// Collect source edges; semi-naive: at least one side must be new.
-	// With pooling on the frontier slice is reused across supersteps: the
-	// previous superstep's frontier is dead by the time the loop comes back
-	// here (its candidates were inserted before the superstep ended).
-	pool := !en.opts.DisablePooling
-	var firsts []*storage.Edge
-	if pool {
-		firsts = en.firstsBuf[:0]
-	}
+	// Collect source edges; semi-naive: at least one side must be new. The
+	// frontier slice is reused across supersteps: the previous superstep's
+	// frontier is dead by the time the loop comes back here (its candidates
+	// were inserted before the superstep ended).
+	firsts := en.firstsBuf[:0]
 	collect := func(mp *memPart) {
 		for k := range mp.edges {
 			e := &mp.edges[k]
@@ -114,36 +150,18 @@ func (en *Engine) processPair(i, j int) (int, error) {
 		return nil, nil
 	}
 
-	var chunks [][2]int
-	if pool {
-		chunks = splitRange(en.chunkBuf[:0], len(firsts), en.opts.Workers)
-		en.chunkBuf = chunks
-		for len(en.scratch) < len(chunks) {
-			en.scratch = append(en.scratch, &joinScratch{})
-		}
-	} else {
-		chunks = splitRange(nil, len(firsts), en.opts.Workers)
+	chunks := splitRange(en.chunkBuf[:0], len(firsts), en.opts.Workers)
+	en.chunkBuf = chunks
+	for len(en.scratch) < len(chunks) {
+		en.scratch = append(en.scratch, &joinScratch{})
 	}
 	var wg sync.WaitGroup
-	var results [][]candidate
-	if !pool {
-		results = make([][]candidate, len(chunks))
-	}
 	for w, c := range chunks {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(scr *joinScratch, lo, hi int) {
 			defer wg.Done()
-			var scr *joinScratch
-			if pool {
-				scr = en.scratch[w]
-			}
-			out := en.joinRange(firsts[lo:hi], lookup, last, seen, gen, scr)
-			if pool {
-				en.scratch[w].out = out
-			} else {
-				results[w] = out
-			}
-		}(w, c[0], c[1])
+			en.joinRange(firsts[lo:hi], lookup, last, seen, gen, scr)
+		}(en.scratch[w], c[0], c[1])
 	}
 	// While the join computes, start loading the partition the scheduler is
 	// predicted to need next, so the next iteration's disk wait overlaps
@@ -155,20 +173,20 @@ func (en *Engine) processPair(i, j int) (int, error) {
 
 	// Insert candidates (single-threaded: dedupe set and partitions).
 	computeStart := time.Now()
-	for w := range chunks {
-		var batch []candidate
-		if pool {
-			batch = en.scratch[w].out
-		} else {
-			batch = results[w]
-		}
-		for _, c := range batch {
-			en.insert(c.edge, i, j)
+	var widened int64
+	for _, scr := range en.scratch[:len(chunks)] {
+		for _, batch := range scr.out.chunks {
+			for k := range batch {
+				widened += en.insert(&batch[k])
+			}
 		}
 	}
 	en.bd.AddCompute(time.Since(computeStart))
-	if pool {
-		en.firstsBuf = firsts
+	en.firstsBuf = firsts
+	if widened > 0 {
+		en.mu.Lock()
+		en.stats.Widened += widened
+		en.mu.Unlock()
 	}
 
 	// Edges induced during this very iteration carry generation `gen` and
@@ -263,26 +281,20 @@ func appendEncCacheKey(dst []byte, enc cfet.Enc) []byte {
 	return dst
 }
 
-// encCacheKey builds the memoization key as a string (the unpooled path;
-// the pooled join probes with appendEncCacheKey's bytes instead).
-func encCacheKey(enc cfet.Enc) string {
-	return string(appendEncCacheKey(make([]byte, 0, len(enc)*16), enc))
-}
-
 // joinRange joins each first edge against the loaded second edges and
-// returns constraint-validated candidates. Runs concurrently; touches only
-// read-only engine state plus its own solver and scratch. scr, when
-// non-nil, supplies the reused candidate batch and cache-key buffer
-// (nil reverts to fresh allocations — the pooling ablation).
-func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32, *memPart), last uint32, seen bool, gen uint32, scr *joinScratch) []candidate {
+// leaves the constraint-validated candidates in scr.out. Runs concurrently;
+// touches only read-only engine state plus its own solver and scratch.
+// Rejection counts and solve time accumulate in locals and are folded into
+// the engine's stats once per chunk, under the lock the cache counters
+// already take.
+func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32, *memPart), last uint32, seen bool, gen uint32, scr *joinScratch) {
 	solver := &smt.CachedSolver{S: smt.New(en.opts.SolverOpts)}
-	var out []candidate
-	var keyBuf []byte
-	if scr != nil {
-		out = scr.out[:0]
-		keyBuf = scr.keyBuf
-	}
-	var cacheLookups, cacheHits int64
+	scr.out.reset()
+	scr.arena.reset()
+	keyBuf, merged := scr.keyBuf, scr.merged
+	var cacheLookups, cacheHits, conflicts, unsat int64
+	var solveTime time.Duration
+	var keys [4]uint64
 	computeStart := time.Now()
 	for _, e1 := range firsts {
 		idxs, mp := lookup(e1.Dst)
@@ -298,59 +310,58 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 			if len(heads) == 0 {
 				continue
 			}
-			decodeStart := time.Now()
-			enc, ok := en.ic.Merge(e1.Enc, e2.Enc)
-			en.bd.AddDecode(time.Since(decodeStart))
+			// Merge into the chunk's scratch encoding: only a candidate
+			// that survives the dedupe pre-check and the unsat check is
+			// copied, into the chunk's arena, and only an edge insert
+			// keeps gets an allocation of its own.
+			m, ok := en.ic.MergeInto(merged, e1.Enc, e2.Enc)
 			if !ok {
-				en.addConflict()
+				conflicts++
 				continue
 			}
-			// Quick global-dedupe pre-check (racy but safe: insert
-			// re-checks under the engine lock).
+			merged = m
 			var rel fsm.Rel
 			if en.opts.UseRel {
 				rel = fsm.Compose(e1.Rel, e2.Rel)
 			}
+			// Global-dedupe pre-check. Each head's key is computed once
+			// here and carried into insert, which re-checks it against
+			// edges inserted earlier in the same superstep.
+			cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Gen: gen,
+				HasRel: en.opts.UseRel, Rel: rel, Enc: merged}
+			hkeys := keys[:0]
 			allDup := true
 			for _, h := range heads {
-				cand := storage.Edge{Src: e1.Src, Dst: e2.Dst, Label: h, Gen: gen,
-					HasRel: en.opts.UseRel, Rel: rel, Enc: enc}
-				if !en.hasKey(cand.Key()) {
+				cand.Label = h
+				key := cand.Key()
+				hkeys = append(hkeys, key)
+				if allDup && !en.hasKey(key, &cand) {
 					allDup = false
-					break
 				}
 			}
 			if allDup {
 				continue
 			}
-			if len(enc) > 0 {
+			if len(merged) > 0 {
 				// Constraint memoization keyed by the encoded path (paper
 				// §4.3: "using encoded paths as the keys"): a hit skips
-				// both decoding and solving. The pooled path encodes the
-				// key into the chunk's scratch buffer and probes with
-				// byte-key lookups, so a probe per join candidate costs no
-				// allocation; the key string only materializes when a miss
-				// inserts a new entry.
-				var key string
+				// both decoding and solving. The key is encoded into the
+				// chunk's scratch buffer and probed by bytes, so a probe
+				// costs no allocation; the key string only materializes
+				// when a miss inserts a new entry.
 				var verdict smt.Result
 				hit := false
 				if en.cache != nil {
 					cacheLookups++
-					if scr != nil {
-						keyBuf = append(keyBuf[:0], en.opts.CacheKeyPrefix...)
-						keyBuf = appendEncCacheKey(keyBuf, enc)
-						verdict, hit = en.cache.GetBytes(keyBuf)
-					} else {
-						key = en.opts.CacheKeyPrefix + encCacheKey(enc)
-						verdict, hit = en.cache.Get(key)
-					}
-					if hit {
+					keyBuf = append(keyBuf[:0], en.opts.CacheKeyPrefix...)
+					keyBuf = appendEncCacheKey(keyBuf, merged)
+					if verdict, hit = en.cache.GetBytes(keyBuf); hit {
 						cacheHits++
 					}
 				}
 				if !hit {
-					decodeStart = time.Now()
-					conj, derr := en.ic.Decode(enc)
+					decodeStart := time.Now()
+					conj, derr := en.ic.Decode(merged)
 					en.bd.AddDecode(time.Since(decodeStart))
 					verdict = smt.Sat
 					if derr == nil && len(conj) > 0 {
@@ -358,73 +369,71 @@ func (en *Engine) joinRange(firsts []*storage.Edge, lookup func(uint32) ([]int32
 						verdict = solver.S.Solve(conj)
 						d := time.Since(solveStart)
 						en.bd.AddSolve(d)
-						en.addSolveTime(d)
+						solveTime += d
 						en.solve.Observe(d)
 					}
 					if en.cache != nil {
-						if scr != nil {
-							en.cache.PutBytes(keyBuf, verdict)
-						} else {
-							en.cache.Put(key, verdict)
-						}
+						en.cache.PutBytes(keyBuf, verdict)
 					}
 				}
 				if verdict == smt.Unsat {
-					en.addUnsat()
+					unsat++
 					continue
 				}
 			}
-			for _, h := range heads {
-				out = append(out, candidate{edge: storage.Edge{
-					Src: e1.Src, Dst: e2.Dst, Label: h, Gen: gen,
-					HasRel: en.opts.UseRel, Rel: rel, Enc: enc,
-				}})
+			cand.Enc = scr.arena.alloc(len(merged))
+			copy(cand.Enc, merged)
+			for hi, h := range heads {
+				cand.Label = h
+				scr.out.alloc(1)[0] = candidate{edge: cand, key: hkeys[hi]}
 			}
 		}
 	}
 	en.bd.AddCompute(time.Since(computeStart))
-	if scr != nil {
-		scr.keyBuf = keyBuf
-	}
+	scr.keyBuf, scr.merged = keyBuf, merged
 	en.mu.Lock()
 	en.stats.ConstraintsSolved += solver.S.Calls
 	en.stats.CacheLookups += cacheLookups
 	en.stats.CacheHits += cacheHits
+	en.stats.RejectedConflict += conflicts
+	en.stats.RejectedUnsat += unsat
+	en.stats.SolveTime += solveTime
 	en.mu.Unlock()
-	return out
 }
 
-func (en *Engine) hasKey(k uint64) bool {
-	en.mu.Lock()
+// hasKey reports whether k, the key of e, is in the dedupe index. It does
+// not take en.mu. This is safe because of a single-writer invariant:
+// en.keys is written only on the run goroutine (preprocess, journal restore
+// and insert, all through addKey), and insert runs only after processPair's
+// wg.Wait, so while join goroutines read the map no one writes it, and the
+// goroutine start and wg.Wait order every write before or after the reads.
+func (en *Engine) hasKey(k uint64, e *storage.Edge) bool {
 	_, ok := en.keys[k]
-	en.mu.Unlock()
+	if ok && keyAudit != nil {
+		keyAudit(en, *e, k, false)
+	}
 	return ok
 }
 
-func (en *Engine) addConflict() {
-	en.mu.Lock()
-	en.stats.RejectedConflict++
-	en.mu.Unlock()
-}
-
-func (en *Engine) addUnsat() {
-	en.mu.Lock()
-	en.stats.RejectedUnsat++
-	en.mu.Unlock()
-}
-
-func (en *Engine) addSolveTime(d time.Duration) {
-	en.mu.Lock()
-	en.stats.SolveTime += d
-	en.mu.Unlock()
+// addKey records k, the key of e, in the dedupe index. Run goroutine only.
+func (en *Engine) addKey(k uint64, e *storage.Edge) {
+	en.keys[k] = struct{}{}
+	if keyAudit != nil {
+		keyAudit(en, *e, k, true)
+	}
 }
 
 // insert adds one induced edge (and its unary/mirror derivatives) to its
-// owning partition, honoring the per-endpoint variant cap.
-func (en *Engine) insert(e storage.Edge, loadedI, loadedJ int) {
-	for _, v := range en.expand(e) {
-		k := v.Key()
-		if _, dup := en.keys[k]; dup {
+// owning partition, honoring the per-endpoint variant cap. It returns how
+// many variants it widened. The candidate's Enc points into a join chunk's
+// arena, which the next superstep overwrites, so the first variant kept
+// with that encoding copies it out and the others share the copy.
+func (en *Engine) insert(c *candidate) int64 {
+	var widened int64
+	var owned cfet.Enc
+	for _, ve := range en.expand(c.edge, c.key) {
+		v, k := ve.edge, ve.key
+		if en.hasKey(k, &v) {
 			continue
 		}
 		ep := v.Endpoint()
@@ -441,14 +450,17 @@ func (en *Engine) insert(e storage.Edge, loadedI, loadedJ int) {
 				v.Enc = nil
 			}
 			k = v.Key()
-			if _, dup := en.keys[k]; dup {
+			if en.hasKey(k, &v) {
 				continue
 			}
-			en.mu.Lock()
-			en.stats.Widened++
-			en.mu.Unlock()
+			widened++
+		} else {
+			if owned == nil {
+				owned = v.Enc.Clone()
+			}
+			v.Enc = owned
 		}
-		en.keys[k] = struct{}{}
+		en.addKey(k, &v)
 		en.variants[ep]++
 		sz := storage.RecordSize(&v)
 		owner := en.partOf(v.Src)
@@ -466,6 +478,7 @@ func (en *Engine) insert(e storage.Edge, loadedI, loadedJ int) {
 			meta.maxGen = v.Gen
 		}
 	}
+	return widened
 }
 
 // repartition splits partition idx at its median source vertex (paper §4.3

@@ -293,10 +293,10 @@ func (en *Engine) restoreFrom(rec *storage.JournalRecord, numVertices uint32) er
 			}
 			meta.bytes += storage.RecordSize(e)
 			k := e.Key()
-			if _, dup := en.keys[k]; dup {
+			if en.hasKey(k, e) {
 				return fmt.Errorf("engine: %s: %w: duplicate edge in checkpointed prefix", path, storage.ErrCorrupt)
 			}
-			en.keys[k] = struct{}{}
+			en.addKey(k, e)
 			en.variants[e.Endpoint()]++
 		}
 		if maxGen != jp.MaxGen {

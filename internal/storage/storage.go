@@ -19,8 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math/bits"
 
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/fsm"
@@ -42,26 +42,46 @@ type Edge struct {
 }
 
 // Key hashes the edge's identity (everything except Gen) for deduplication.
+// It mixes whole 64-bit words, one multiply-fold per word, and allocates
+// nothing: Src/Dst, Label with HasRel, the Rel rows four to a word (only
+// when HasRel), each Enc element as four words, and finally len(Enc). Every
+// field owns its own bits of its word, so no two field values can cancel;
+// the trailing length separates encodings that differ only by trailing
+// zero-valued elements.
 func (e *Edge) Key() uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.LittleEndian.PutUint32(buf[0:], e.Src)
-	binary.LittleEndian.PutUint32(buf[4:], e.Dst)
-	binary.LittleEndian.PutUint16(buf[8:], uint16(e.Label))
-	h.Write(buf[:10])
+	h := mixWord(keySeed, uint64(e.Src)|uint64(e.Dst)<<32)
+	tag := uint64(e.Label)
 	if e.HasRel {
-		h.Write(e.Rel.Pack(nil))
+		tag |= 1 << 16
 	}
-	for _, el := range e.Enc {
-		binary.LittleEndian.PutUint32(buf[0:], uint32(el.Kind))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(el.Method))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(el.Call))
-		h.Write(buf[:12])
-		binary.LittleEndian.PutUint64(buf[0:], el.Start)
-		binary.LittleEndian.PutUint64(buf[8:], el.End)
-		h.Write(buf[:16])
+	h = mixWord(h, tag)
+	if e.HasRel {
+		r := &e.Rel
+		for i := 0; i < len(r); i += 4 {
+			h = mixWord(h, uint64(r[i])|uint64(r[i+1])<<16|uint64(r[i+2])<<32|uint64(r[i+3])<<48)
+		}
 	}
-	return h.Sum64()
+	for i := range e.Enc {
+		el := &e.Enc[i]
+		h = mixWord(h, uint64(el.Kind))
+		h = mixWord(h, uint64(uint32(el.Method))|uint64(uint32(el.Call))<<32)
+		h = mixWord(h, el.Start)
+		h = mixWord(h, el.End)
+	}
+	return mixWord(h, uint64(len(e.Enc)))
+}
+
+// keySeed and keyMul are the word mixer's constants (wyhash's primes).
+const (
+	keySeed = 0xa0761d6478bd642f
+	keyMul  = 0xe7037ed1a0b428db
+)
+
+// mixWord folds one word into the running hash: the full 128-bit product
+// of (h^w) with an odd constant, high half xor low half.
+func mixWord(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^w, keyMul)
+	return hi ^ lo
 }
 
 // Endpoint identifies an edge up to its constraint payload; the engine caps
@@ -285,7 +305,31 @@ func ReadRecord(r *bufio.Reader, e *Edge) error {
 }
 
 // RecordSize returns the serialized v2 size of e in bytes (the size the
-// engine's byte budgets account against).
+// engine's byte budgets account against). It sums the field widths
+// appendRecordV2 writes instead of encoding the record, so it allocates
+// nothing.
 func RecordSize(e *Edge) int64 {
-	return int64(len(appendRecordV2(nil, e)))
+	n := recordHeadSize + uvarintLen(uint64(len(e.Enc)))
+	if e.HasRel {
+		n += fsm.PackedRelSize
+	}
+	for i := range e.Enc {
+		el := &e.Enc[i]
+		n++ // kind byte
+		if el.Kind == cfet.KInterval {
+			n += uvarintLen(uint64(el.Method)) + uvarintLen(el.Start) + uvarintLen(el.End)
+		} else {
+			n += uvarintLen(uint64(el.Call))
+		}
+	}
+	return int64(n)
+}
+
+// recordHeadSize is the fixed record head appendCommon writes before the
+// optional Rel: Src, Dst, Label, Gen and the flags byte.
+const recordHeadSize = 4 + 4 + 2 + 4 + 1
+
+// uvarintLen is the byte length binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }

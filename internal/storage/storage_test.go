@@ -16,6 +16,7 @@ import (
 	"github.com/grapple-system/grapple/internal/cfet"
 	"github.com/grapple-system/grapple/internal/fsm"
 	"github.com/grapple-system/grapple/internal/grammar"
+	"github.com/grapple-system/grapple/internal/raceflag"
 )
 
 func randEdge(rng *rand.Rand) Edge {
@@ -482,6 +483,7 @@ func TestKeyDistinguishes(t *testing.T) {
 		{Src: 9, Dst: 2, Label: 3, Enc: base.Enc},
 		{Src: 1, Dst: 9, Label: 3, Enc: base.Enc},
 		{Src: 1, Dst: 2, Label: 9, Enc: base.Enc},
+		{Src: 2, Dst: 1, Label: 3, Enc: base.Enc},
 		{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 0, 6)}},
 		{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.CallElem(5)}},
 		{Src: 1, Dst: 2, Label: 3, Enc: base.Enc, HasRel: true, Rel: fsm.Identity()},
@@ -497,6 +499,91 @@ func TestKeyDistinguishes(t *testing.T) {
 	if withGen.Key() != base.Key() {
 		t.Fatal("gen must not affect identity")
 	}
+
+	// Pairs whose fields carry the same values in different places: a
+	// hash that drops a field, lets two fields share bits, or ignores
+	// order or length collides on these.
+	swapped := fsm.Identity()
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	zero := cfet.Elem{}
+	pairs := []struct {
+		name string
+		a, b Edge
+	}{
+		{"HasRel false vs true with a zero Rel",
+			Edge{Src: 1, Dst: 2, Label: 3},
+			Edge{Src: 1, Dst: 2, Label: 3, HasRel: true}},
+		{"Rel rows in another order",
+			Edge{Src: 1, Dst: 2, Label: 3, HasRel: true, Rel: fsm.Identity()},
+			Edge{Src: 1, Dst: 2, Label: 3, HasRel: true, Rel: swapped}},
+		{"Enc with and without a trailing zero element",
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 0, 5)}},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 0, 5), zero}}},
+		{"empty Enc vs one zero element",
+			Edge{Src: 1, Dst: 2, Label: 3},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{zero}}},
+		{"value moves from Kind to Method",
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{{Kind: 1}}},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{{Method: 1}}}},
+		{"value moves from Method to Call",
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{{Method: 7}}},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{{Call: 7}}}},
+		{"value moves from Kind to Call",
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.CallElem(0)}},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{{Call: 1}}}},
+		{"value moves from Start to End",
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 4, 0)}},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.Interval(0, 0, 4)}}},
+		{"elements in another order",
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.CallElem(4), cfet.RetElem(4)}},
+			Edge{Src: 1, Dst: 2, Label: 3, Enc: cfet.Enc{cfet.RetElem(4), cfet.CallElem(4)}}},
+	}
+	for _, p := range pairs {
+		if p.a.Key() == p.b.Key() {
+			t.Errorf("%s: keys collide (%#x)", p.name, p.a.Key())
+		}
+	}
+
+	// The key reads Rel only when HasRel is set, like the record format.
+	stale := base
+	stale.Rel = fsm.Identity()
+	if stale.Key() != base.Key() {
+		t.Fatal("a Rel without HasRel must not affect identity")
+	}
+}
+
+// TestKeyNoCollisionsRandom draws many random edges and requires distinct
+// keys for distinct identities: a weak mixer (one that lets fields cancel)
+// shows up here as collisions long before 2^32 edges.
+func TestKeyNoCollisionsRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	seen := map[uint64]Edge{}
+	for i := 0; i < 200000; i++ {
+		e := randEdge(rng)
+		e.Src, e.Dst = e.Src%64, e.Dst%64 // crowd the endpoint space
+		e.Gen = 0
+		k := e.Key()
+		if prev, ok := seen[k]; ok && !edgesEqual(prev, e) {
+			t.Fatalf("distinct edges share key %#x:\n  %+v\n  %+v", k, prev, e)
+		}
+		seen[k] = e
+	}
+}
+
+func TestKeyZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	e := randEdge(rand.New(rand.NewSource(5)))
+	e.HasRel = true
+	var sink uint64
+	if allocs := testing.AllocsPerRun(100, func() { sink ^= e.Key() }); allocs != 0 {
+		t.Fatalf("Key allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink ^= uint64(RecordSize(&e)) }); allocs != 0 {
+		t.Fatalf("RecordSize allocates %.1f/op, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestEndpointTriple(t *testing.T) {
@@ -510,5 +597,26 @@ func TestRecordSizePositive(t *testing.T) {
 	e := randEdge(rand.New(rand.NewSource(2)))
 	if RecordSize(&e) < 15 {
 		t.Fatal("record size too small")
+	}
+}
+
+// TestRecordSizeMatchesEncoding pins RecordSize's arithmetic to the bytes
+// appendRecordV2 actually writes, including varint boundaries and negative
+// method or call IDs.
+func TestRecordSizeMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	edges := []Edge{
+		{},
+		{HasRel: true},
+		{Enc: cfet.Enc{cfet.Interval(-1, 127, 128), cfet.CallElem(-5), cfet.RetElem(1 << 30)}},
+		{Enc: cfet.Enc{cfet.Interval(1<<20, 1<<63, ^uint64(0)), {Kind: 7, Call: 300}}},
+	}
+	for i := 0; i < 2000; i++ {
+		edges = append(edges, randEdge(rng))
+	}
+	for _, e := range edges {
+		if got, want := RecordSize(&e), int64(len(appendRecordV2(nil, &e))); got != want {
+			t.Fatalf("RecordSize = %d, encoded %d bytes: %+v", got, want, e)
+		}
 	}
 }
