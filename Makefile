@@ -30,14 +30,15 @@ race:
 	$(GO) test -race ./cmd/grapple/ -run TestAblationIdentity -count=1
 
 # Short fuzzing sessions: SMT cache-keying invariants, the partition
-# store's record decoders (v1 and v2), whole-file reader, and journal
-# reader (resume must never crash or silently accept corrupt state), then
+# store's zero-copy record decoder and whole-file reader (both
+# cross-checked against the test-side reference stream decoder; files
+# without the format magic must be rejected), and journal reader (resume
+# must never crash or silently accept corrupt state), then
 # the interprocedural points-to solver (termination bound + summary
 # idempotence on arbitrary MiniLang inputs) and the devirtualization
 # hierarchy (every live covering type must stay a dispatch candidate).
 fuzz:
 	$(GO) test ./internal/smt/ -fuzz FuzzCacheKeying -fuzztime 30s
-	$(GO) test ./internal/storage/ -fuzz FuzzReadRecord -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzDecodeRecordV2 -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadPart -fuzztime 20s
 	$(GO) test ./internal/storage/ -fuzz FuzzReadJournal -fuzztime 20s
@@ -109,13 +110,14 @@ unlowered-budget: build
 bench:
 	$(GO) run ./cmd/grapple-bench -all
 
-# Hot-path table (zero-copy vs legacy decode, join cost per induced edge),
+# Hot-path table (zero-copy decode cost per record, join cost per induced edge),
 # with the machine-readable artifact committed next to EXPERIMENTS.md.
 bench-hotpath: build
 	$(GO) run ./cmd/grapple-bench -table hotpath -hotpath-json BENCH_hotpath.json
 
 # Allocation-budget regression gates: the zero-copy read path must stay
-# near zero allocs/record (and under half of the legacy decoder), edge keys
+# near zero allocs/record (and under half of the test-side reference
+# decoder, measured over the same file), edge keys
 # and record sizes must not allocate, a warm SMT-cache probe from the join
 # must not allocate at all, and a whole closure must stay within its
 # allocations-per-induced-edge budget (merges build in chunk scratch).

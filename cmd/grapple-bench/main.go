@@ -15,7 +15,7 @@
 //	grapple-bench -table prune      infeasible-branch pruning ablation
 //	grapple-bench -table slice      property-relevance slicing ablation
 //	grapple-bench -table gofront    synthetic subjects vs a real Go package
-//	grapple-bench -table hotpath    zero-copy decode and join-pooling ablations
+//	grapple-bench -table hotpath    zero-copy decode and pooled-join cost
 //	grapple-bench -table devirt     devirtualization rate and concurrency-lint cost
 //	grapple-bench -all              everything above
 //
@@ -141,7 +141,7 @@ func main() {
 		fmt.Println(out)
 	}
 	if want("hotpath") {
-		fmt.Fprintln(os.Stderr, "running hot-path ablations (decode modes + join pooling, each subject)...")
+		fmt.Fprintln(os.Stderr, "running hot-path table (zero-copy decode + pooled join, each subject)...")
 		out, rows, err := bench.HotpathTable(names, "")
 		if err != nil {
 			fatal(err)

@@ -14,9 +14,8 @@ import (
 	"github.com/grapple-system/grapple/internal/storage"
 )
 
-// HotpathRow is one subject's hot-path measurement: the v2 decode path with
-// the zero-copy block cursor against the legacy stream decoder, and the cost
-// of the pooled edge join.
+// HotpathRow is one subject's hot-path measurement: the zero-copy v2
+// decode path, and the cost of the pooled edge join.
 type HotpathRow struct {
 	Subject string `json:"subject"`
 
@@ -24,23 +23,12 @@ type HotpathRow struct {
 	// partition file.
 	Records           int64   `json:"records"`
 	DecodeNsZeroCopy  float64 `json:"decode_ns_per_record_zero_copy"`
-	DecodeNsLegacy    float64 `json:"decode_ns_per_record_legacy"`
 	AllocsRecZeroCopy float64 `json:"allocs_per_record_zero_copy"`
-	AllocsRecLegacy   float64 `json:"allocs_per_record_legacy"`
 
 	// Join side: closing the alias graph.
 	InducedEdges int64         `json:"induced_edges"`
 	JoinNsPooled float64       `json:"join_ns_per_edge_pooled"`
 	WallPooled   time.Duration `json:"wall_pooled_ns"`
-}
-
-// AllocSaving reports the fractional allocs/record reduction of the
-// zero-copy decoder (the number the alloc-budget CI gate checks).
-func (r HotpathRow) AllocSaving() float64 {
-	if r.AllocsRecLegacy == 0 {
-		return 0
-	}
-	return 1 - r.AllocsRecZeroCopy/r.AllocsRecLegacy
 }
 
 // hotpathJoinBudget matches the I/O table's out-of-core budget: small enough
@@ -64,14 +52,12 @@ func HotpathTable(names []string, workDir string) (string, []HotpathRow, error) 
 	}
 
 	var b strings.Builder
-	b.WriteString("Hot-path ablations: zero-copy v2 decode vs legacy stream decode, and the pooled join's cost per induced edge.\n")
-	fmt.Fprintf(&b, "%-15s %8s %10s %10s %9s %9s %8s | %9s %12s\n",
-		"Subject", "records", "ns/rec zc", "ns/rec leg", "alloc/zc", "alloc/leg", "saving",
-		"induced", "ns/join")
+	b.WriteString("Hot paths: zero-copy v2 decode per record, and the pooled join's cost per induced edge.\n")
+	fmt.Fprintf(&b, "%-15s %8s %10s %9s | %9s %12s\n",
+		"Subject", "records", "ns/rec", "alloc/rec", "induced", "ns/join")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-15s %8d %10.0f %10.0f %9.3f %9.3f %7.0f%% | %9d %12.0f\n",
-			r.Subject, r.Records, r.DecodeNsZeroCopy, r.DecodeNsLegacy,
-			r.AllocsRecZeroCopy, r.AllocsRecLegacy, 100*r.AllocSaving(),
+		fmt.Fprintf(&b, "%-15s %8d %10.0f %9.3f | %9d %12.0f\n",
+			r.Subject, r.Records, r.DecodeNsZeroCopy, r.AllocsRecZeroCopy,
 			r.InducedEdges, r.JoinNsPooled)
 	}
 	return b.String(), rows, nil
@@ -91,21 +77,15 @@ func runHotpath(name, workDir string) (HotpathRow, error) {
 	defer os.RemoveAll(dir)
 
 	// Decode side: one v2 partition file holding the subject's initial alias
-	// edges, read back in both modes.
+	// edges, read back.
 	path := filepath.Join(dir, "decode.edges")
 	if _, err := storage.WritePart(path, ag.Edges, storage.PartInfo{Lo: 0, Hi: ag.NumVerts}); err != nil {
 		return HotpathRow{}, err
 	}
-	zcNs, zcAllocs, err := measureDecode(path, len(ag.Edges), storage.ReadOptions{})
+	row.DecodeNsZeroCopy, row.AllocsRecZeroCopy, err = measureDecode(path, len(ag.Edges))
 	if err != nil {
 		return HotpathRow{}, err
 	}
-	legNs, legAllocs, err := measureDecode(path, len(ag.Edges), storage.ReadOptions{LegacyDecode: true})
-	if err != nil {
-		return HotpathRow{}, err
-	}
-	row.DecodeNsZeroCopy, row.AllocsRecZeroCopy = zcNs, zcAllocs
-	row.DecodeNsLegacy, row.AllocsRecLegacy = legNs, legAllocs
 
 	// Join side: close the alias graph.
 	en := engine.New(ic, ag.Ptr.G, engine.Options{
@@ -126,17 +106,17 @@ func runHotpath(name, workDir string) (HotpathRow, error) {
 	return row, nil
 }
 
-// measureDecode reads path best-of-three in the given mode, returning
+// measureDecode reads path best-of-three, returning
 // ns/record and allocs/record. Allocation counts come from the runtime's
 // Mallocs counter around each pass; the minimum over passes discards GC and
 // scheduler noise.
-func measureDecode(path string, records int, opt storage.ReadOptions) (nsPerRec, allocsPerRec float64, err error) {
+func measureDecode(path string, records int) (nsPerRec, allocsPerRec float64, err error) {
 	if records == 0 {
 		return 0, 0, nil
 	}
 	dst := make([]storage.Edge, 0, records)
 	// Warmup pass: page cache, dst capacity.
-	if dst, _, _, err = storage.ReadPartWith(path, dst[:0], opt); err != nil {
+	if dst, _, _, err = storage.ReadPart(path, dst[:0]); err != nil {
 		return 0, 0, err
 	}
 	bestNs, bestAllocs := float64(0), float64(0)
@@ -146,7 +126,7 @@ func measureDecode(path string, records int, opt storage.ReadOptions) (nsPerRec,
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		start := time.Now()
-		if dst, _, _, err = storage.ReadPartWith(path, dst[:0], opt); err != nil {
+		if dst, _, _, err = storage.ReadPart(path, dst[:0]); err != nil {
 			return 0, 0, err
 		}
 		wall := time.Since(start)

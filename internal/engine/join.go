@@ -200,12 +200,10 @@ func (en *Engine) processPair(i, j int) (int, error) {
 	// Eager repartitioning (paper §4.3): split any loaded partition whose
 	// byte size outgrew the budget. Split j before i: the split inserts a
 	// partition right after the split position, which would shift j.
-	if !en.opts.DeferRepartition {
-		for _, idx := range []int{j, i} {
-			if mp, ok := en.loaded[idx]; ok && mp.meta.bytes > en.opts.MemoryBudget/3 {
-				if err := en.repartition(idx); err != nil {
-					return 0, err
-				}
+	for _, idx := range []int{j, i} {
+		if mp, ok := en.loaded[idx]; ok && mp.meta.bytes > en.opts.MemoryBudget/3 {
+			if err := en.repartition(idx); err != nil {
+				return 0, err
 			}
 		}
 	}
@@ -641,7 +639,7 @@ func (en *Engine) remapAfterInsert(pos int) {
 // ForEach streams every edge of the closed graph from disk (after Run).
 func (en *Engine) ForEach(f func(*storage.Edge) bool) error {
 	for _, meta := range en.parts {
-		edges, _, _, err := storage.ReadPartWith(meta.path, nil, en.readOpts)
+		edges, _, _, err := storage.ReadPart(meta.path, nil)
 		if err != nil {
 			return err
 		}

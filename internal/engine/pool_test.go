@@ -75,14 +75,13 @@ func closureFingerprint(t *testing.T, en *Engine) []string {
 }
 
 // TestClosureIdentityAcrossAblation runs the same constraint-carrying
-// workload at one and at four join workers, each under both decode modes
-// (LegacyDecode), with a memory budget small enough to force real partition
-// spills and reads, and requires bit-identical closures and identical
-// rejection statistics. Worker count and decode mode are performance knobs,
-// never semantic ones: four workers share the pooled chunk scratch, the
-// lock-free dedupe pre-check and the per-chunk counters that one worker
-// exercises alone. Runs under `make race` with the rest of the engine
-// package.
+// workload at one and at four join workers, with a memory budget small
+// enough to force real partition spills and reads, and requires
+// bit-identical closures and identical rejection statistics. Worker count
+// is a performance knob, never a semantic one: four workers share the
+// pooled chunk scratch, the lock-free dedupe pre-check and the per-chunk
+// counters that one worker exercises alone. Runs under `make race` with the
+// rest of the engine package.
 func TestClosureIdentityAcrossAblation(t *testing.T) {
 	ic := buildFromSource(t, `
 fun f(x: int) {
@@ -105,29 +104,15 @@ fun f(x: int) {
 		edges = append(edges, e)
 	}
 
-	type config struct {
-		name string
-		opts Options
-	}
-	var configs []config
-	for _, workers := range []int{1, 4} {
-		for _, legacy := range []bool{false, true} {
-			configs = append(configs, config{
-				name: fmt.Sprintf("workers=%d legacy=%v", workers, legacy),
-				opts: Options{
-					MemoryBudget: 4 << 10, // force multiple partitions
-					Workers:      workers,
-					LegacyDecode: legacy,
-				},
-			})
-		}
-	}
 	var baseline []string
 	var baseStats *Stats
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			en, st := runEngine(t, ic, d.G, cfg.opts, edges, n)
+	for _, workers := range []int{1, 4} {
+		opts := Options{
+			MemoryBudget: 4 << 10, // force multiple partitions
+			Workers:      workers,
+		}
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			en, st := runEngine(t, ic, d.G, opts, edges, n)
 			fp := closureFingerprint(t, en)
 			if baseline == nil {
 				baseline, baseStats = fp, st

@@ -34,13 +34,10 @@ type prefetcher struct {
 	entries map[*partMeta]*prefetchEntry
 	wg      sync.WaitGroup
 	io      *metrics.IOStats
-	// readOpts mirrors the engine's decode mode so prefetched and
-	// synchronous loads take the same path.
-	readOpts storage.ReadOptions
 }
 
-func newPrefetcher(io *metrics.IOStats, readOpts storage.ReadOptions) *prefetcher {
-	return &prefetcher{entries: map[*partMeta]*prefetchEntry{}, io: io, readOpts: readOpts}
+func newPrefetcher(io *metrics.IOStats) *prefetcher {
+	return &prefetcher{entries: map[*partMeta]*prefetchEntry{}, io: io}
 }
 
 // start begins loading meta's file in the background; no-op when a prefetch
@@ -58,7 +55,7 @@ func (pf *prefetcher) start(meta *partMeta) {
 	pf.wg.Add(1)
 	go func() {
 		defer pf.wg.Done()
-		edges, info, n, err := storage.ReadPartWith(meta.path, nil, pf.readOpts)
+		edges, info, n, err := storage.ReadPart(meta.path, nil)
 		e.res = prefetched{edges: edges, info: info, bytes: n, err: err}
 		close(e.done)
 	}()

@@ -1,17 +1,12 @@
 // Zero-copy v2 record decoding.
 //
-// The original v2 read path pulled every record field through io.ReadFull
-// calls against a bytes.Reader wrapped around the block payload — correct,
-// but each record paid interface-call overhead and a fresh encoding-slice
-// allocation. A whole block is already sitting in memory CRC-verified, so
-// blockCursor decodes records directly out of that buffer with an offset
-// cursor, and backs the decoded path encodings with a chunked element arena
-// shared across the records of a read: per-record allocations drop from one
-// (or more) per record to amortized ~1/arenaChunkElems.
-//
-// The legacy field-by-field decoder is kept (decodeRecord): v1 streams still
-// need it, and ReadOptions.LegacyDecode routes v2 payloads through it for
-// the hotpath ablation and the decode-equivalence tests.
+// A whole block is already sitting in memory CRC-verified, so blockCursor
+// decodes records directly out of that buffer with an offset cursor instead
+// of pulling every field through an io.Reader, and backs the decoded path
+// encodings with a chunked element arena shared across the records of a
+// read: per-record allocations are amortized ~1/arenaChunkElems instead of
+// one or more per record. It is the only decoder the reader uses; the tests
+// keep a field-by-field stream decoder as the reference it must match.
 package storage
 
 import (
@@ -102,8 +97,8 @@ func (c *blockCursor) decodeBlock(payload []byte, count uint32, dst []Edge) ([]E
 	return dst, count, nil
 }
 
-// decodeRecord deserializes one v2 record at the cursor, the zero-copy
-// mirror of decodeRecord(r, e, true). Every failure wraps ErrCorrupt.
+// decodeRecord deserializes one v2 record at the cursor. Every failure
+// wraps ErrCorrupt.
 func (c *blockCursor) decodeRecord(e *Edge) error {
 	if c.remaining() < 15 { // src + dst + label + gen + flags
 		return c.corrupt("truncated record head (%d bytes left)", c.remaining())
@@ -140,7 +135,7 @@ func (c *blockCursor) decodeRecord(e *Edge) error {
 		return c.corrupt("encoding length %d exceeds limit %d", n, maxEncElems)
 	}
 	// Each element costs at least 2 bytes; reject impossible lengths before
-	// touching the arena (same defense as the legacy decoder's Len check).
+	// touching the arena.
 	if n > uint64(c.remaining()) {
 		return c.corrupt("encoding length %d exceeds remaining payload %d", n, c.remaining())
 	}

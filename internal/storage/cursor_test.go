@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,8 +15,8 @@ import (
 
 // decodeV2Seeds builds the canonical v2 record corpus shared by
 // FuzzDecodeRecordV2 and the decode-equivalence property test: valid
-// single records, a long encoding the v1 format cannot hold, and a few
-// malformed byte strings.
+// single records, a long encoding whose length takes a multi-byte uvarint,
+// and a few malformed byte strings.
 func decodeV2Seeds() [][]byte {
 	rng := rand.New(rand.NewSource(4))
 	var seeds [][]byte
@@ -35,8 +34,8 @@ func decodeV2Seeds() [][]byte {
 	return seeds
 }
 
-// crossCheckDecoders runs the zero-copy cursor and the legacy stream decoder
-// over the same payload and fails if they diverge in any observable way:
+// crossCheckDecoders runs the zero-copy cursor and the reference stream
+// decoder over the same payload and fails if they diverge in any observable way:
 // decoded edges, error class (both must wrap ErrCorrupt on failure, since a
 // v2 payload has no clean record boundary), and bytes consumed on success.
 func crossCheckDecoders(t *testing.T, payload []byte) {
@@ -47,7 +46,7 @@ func crossCheckDecoders(t *testing.T, payload []byte) {
 	for rec := 0; ; rec++ {
 		var ce, se Edge
 		cerr := cur.decodeRecord(&ce)
-		serr := decodeRecord(r, &se, true)
+		serr := refDecodeRecord(r, &se)
 		if (cerr == nil) != (serr == nil) {
 			t.Fatalf("record %d: cursor err %v, stream err %v", rec, cerr, serr)
 		}
@@ -75,7 +74,7 @@ func crossCheckDecoders(t *testing.T, payload []byte) {
 
 // TestDecodeCursorEquivalence is the decode-equivalence property test: over
 // the fuzz seed corpus and random multi-record payloads, the zero-copy
-// cursor must be observably identical to the stream decoder.
+// cursor must be observably identical to the reference decoder.
 func TestDecodeCursorEquivalence(t *testing.T) {
 	for _, seed := range decodeV2Seeds() {
 		crossCheckDecoders(t, seed)
@@ -98,9 +97,7 @@ func TestDecodeCursorEquivalence(t *testing.T) {
 // TestDecodeRecordV2TruncationIsCorrupt cuts a v2 record at every byte
 // boundary: both decoders must reject every prefix with an error wrapping
 // ErrCorrupt — never a bare io.EOF, which inside a CRC- and count-delimited
-// block would misreport corruption as a clean boundary. The v1 stream
-// decoder, whose format has no framing, must keep reporting the clean
-// zero-byte boundary as bare io.EOF.
+// block would misreport corruption as a clean boundary.
 func TestDecodeRecordV2TruncationIsCorrupt(t *testing.T) {
 	e := randEdge(rand.New(rand.NewSource(7)))
 	if len(e.Enc) == 0 {
@@ -123,26 +120,21 @@ func TestDecodeRecordV2TruncationIsCorrupt(t *testing.T) {
 		}
 
 		var se Edge
-		serr := decodeRecord(bytes.NewReader(prefix), &se, true)
+		serr := refDecodeRecord(bytes.NewReader(prefix), &se)
 		if serr == nil {
-			t.Fatalf("cut=%d: stream decoder accepted a truncated record", cut)
+			t.Fatalf("cut=%d: reference decoder accepted a truncated record", cut)
 		}
 		if !errors.Is(serr, ErrCorrupt) {
-			t.Fatalf("cut=%d: stream v2 error not ErrCorrupt: %v", cut, serr)
+			t.Fatalf("cut=%d: reference error not ErrCorrupt: %v", cut, serr)
 		}
-	}
-
-	// v1 contrast: an empty stream is a record boundary, not corruption.
-	var ve Edge
-	if err := decodeRecord(bytes.NewReader(nil), &ve, false); err != io.EOF {
-		t.Fatalf("v1 empty stream: want bare io.EOF, got %v", err)
 	}
 }
 
-// TestReadPartWithModesAgree reads the same file in both decode modes and
-// requires identical edges, PartInfo, and byte counts — the whole-file form
-// of the equivalence property, covering the block loop and slack checks.
-func TestReadPartWithModesAgree(t *testing.T) {
+// TestReadPartMatchesReferenceDecoder reads the same file with ReadPart and
+// with the reference decoder and requires identical edges and PartInfo,
+// and a byte count equal to the file size — the whole-file form of the
+// equivalence property, covering the block loop and slack checks.
+func TestReadPartMatchesReferenceDecoder(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(21))
 	var edges []Edge
@@ -150,26 +142,27 @@ func TestReadPartWithModesAgree(t *testing.T) {
 		edges = append(edges, randEdge(rng))
 	}
 	path := filepath.Join(dir, "p.edges")
-	if _, err := WritePart(path, edges, PartInfo{Lo: 5, Hi: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	fast, fi, fn, err := ReadPartWith(path, nil, ReadOptions{})
+	written, err := WritePart(path, edges, PartInfo{Lo: 5, Hi: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, si, sn, err := ReadPartWith(path, nil, ReadOptions{LegacyDecode: true})
+	fast, fi, fn, err := ReadPart(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi != si || fn != sn {
-		t.Fatalf("info/bytes diverge: %+v/%d vs %+v/%d", fi, fn, si, sn)
+	ref, ri, err := refReadPart(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(fast) != len(slow) || len(fast) != len(edges) {
-		t.Fatalf("edge counts diverge: %d vs %d (want %d)", len(fast), len(slow), len(edges))
+	if fi != ri || fn != written {
+		t.Fatalf("info/bytes diverge: %+v/%d vs %+v/%d", fi, fn, ri, written)
+	}
+	if len(fast) != len(ref) || len(fast) != len(edges) {
+		t.Fatalf("edge counts diverge: %d vs %d (want %d)", len(fast), len(ref), len(edges))
 	}
 	for i := range fast {
-		if !edgesEqual(fast[i], slow[i]) {
-			t.Fatalf("edge %d diverges: %+v vs %+v", i, fast[i], slow[i])
+		if !edgesEqual(fast[i], ref[i]) {
+			t.Fatalf("edge %d diverges: %+v vs %+v", i, fast[i], ref[i])
 		}
 		if !edgesEqual(fast[i], edges[i]) {
 			t.Fatalf("edge %d lost in round trip: %+v", i, fast[i])
@@ -226,71 +219,74 @@ func allocBudgetFile(tb testing.TB, n int) string {
 // TestDecodeAllocBudget is the regression gate on the zero-copy read path:
 // decoding must stay near zero allocations per record (the arena amortizes
 // one slice allocation over thousands of elements), and well under the
-// legacy decoder's one-allocation-per-encoding floor. `make ci` runs this
-// via the alloc-budget target.
+// reference decoder's one-allocation-per-encoding floor, measured here over
+// the same file. `make ci` runs this via the alloc-budget target.
 func TestDecodeAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	const n = 2000
 	path := allocBudgetFile(t, n)
-	perRecord := func(opt ReadOptions) float64 {
-		dst := make([]Edge, 0, n)
-		allocs := testing.AllocsPerRun(5, func() {
-			var err error
-			dst, _, _, err = ReadPartWith(path, dst[:0], opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		return allocs / n
-	}
-	fast := perRecord(ReadOptions{})
-	slow := perRecord(ReadOptions{LegacyDecode: true})
-	t.Logf("allocs/record: zero-copy %.4f, legacy %.4f", fast, slow)
+	dst := make([]Edge, 0, n)
+	fast := testing.AllocsPerRun(5, func() {
+		var err error
+		dst, _, _, err = ReadPart(path, dst[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+	slow := testing.AllocsPerRun(5, func() {
+		if _, _, err := refReadPart(path); err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+	t.Logf("allocs/record: zero-copy %.4f, reference %.4f", fast, slow)
 	if fast > 0.05 {
 		t.Fatalf("zero-copy decode allocates %.4f/record, budget is 0.05", fast)
 	}
 	if slow > 0 && fast > 0.5*slow {
-		t.Fatalf("zero-copy (%.4f/record) not under half of legacy (%.4f/record)", fast, slow)
+		t.Fatalf("zero-copy (%.4f/record) not under half of the reference decoder (%.4f/record)", fast, slow)
 	}
 }
 
-// BenchmarkDecodeRecord reports ns/record and allocs/record for both v2
-// decode modes over a realistic enc-carrying partition file.
+// BenchmarkDecodeRecord reports ns/record and allocs/record for ReadPart
+// and for the reference decoder over a realistic enc-carrying partition
+// file.
 func BenchmarkDecodeRecord(b *testing.B) {
 	const n = 5000
 	path := allocBudgetFile(b, n)
-	for _, mode := range []struct {
-		name string
-		opt  ReadOptions
-	}{
-		{"zero-copy", ReadOptions{}},
-		{"legacy", ReadOptions{LegacyDecode: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			dst := make([]Edge, 0, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				dst, _, _, err = ReadPartWith(path, dst[:0], mode.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("zero-copy", func(b *testing.B) {
+		dst := make([]Edge, 0, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			dst, _, _, err = ReadPart(path, dst[:0])
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
-			runtime.KeepAlive(dst)
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
+		runtime.KeepAlive(dst)
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := refReadPart(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
+	})
 }
 
 // TestCorruptionMatrixMidRecordTruncation extends the corruption matrix with
 // the one class only the record decoder can catch: a block whose payload was
 // cut mid-record but whose header (plen, count, CRC) was rewritten to be
 // self-consistent. The block CRC verifies, so rejection has to come from the
-// decode loop — in both decode modes, tagged ErrCorrupt.
+// decoder — tagged ErrCorrupt, and for the prefix reader the dropped block
+// leaves too few edges to back a journal record.
 func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 	dir := t.TempDir()
 	e := longEncEdge(6)
@@ -331,31 +327,27 @@ func TestCorruptionMatrixMidRecordTruncation(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		opt  ReadOptions
-	}{
-		{"zero-copy", ReadOptions{}},
-		{"legacy", ReadOptions{LegacyDecode: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, _, _, err := ReadPartWith(path, nil, mode.opt)
-			if err == nil {
-				t.Fatal("mid-record truncation with consistent CRC accepted")
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error not tagged ErrCorrupt: %v", err)
-			}
-		})
-	}
+	// ReadPart and ReadPartPrefix both decode through the zero-copy cursor.
+	t.Run("zero-copy", func(t *testing.T) {
+		_, _, _, err := ReadPart(path, nil)
+		if err == nil {
+			t.Fatal("mid-record truncation with consistent CRC accepted")
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error not tagged ErrCorrupt: %v", err)
+		}
+		if _, _, _, err := ReadPartPrefix(path, 2); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("prefix read kept a block that failed to decode: %v", err)
+		}
+	})
 }
 
 // TestReadPartPrefixCursorEquivalence is the decoder-equivalence test for
-// the resume-path prefix reader, which now decodes through the zero-copy
+// the resume-path prefix reader, which decodes through the zero-copy
 // cursor: on pristine files, files with a post-checkpoint suffix, and files
 // truncated at every torn-append boundary, its recovered prefix must be
-// byte-identical to what the legacy stream decoder reconstructs via
-// ReadPartWith(LegacyDecode) on the intact original.
+// identical to what the reference decoder reconstructs from the intact
+// original.
 func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(77))
@@ -371,7 +363,7 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 	if _, err := AppendPart(path, edges[48:]); err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := ReadPartWith(path, nil, ReadOptions{LegacyDecode: true})
+	want, _, err := refReadPart(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +378,7 @@ func TestReadPartPrefixCursorEquivalence(t *testing.T) {
 		}
 		for i := range got {
 			if !edgesEqual(got[i], want[i]) {
-				t.Fatalf("%s: prefix %d edge %d diverges from stream decode", label, n, i)
+				t.Fatalf("%s: prefix %d edge %d diverges from the reference decode", label, n, i)
 			}
 		}
 	}

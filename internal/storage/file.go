@@ -1,6 +1,6 @@
 // Partition file format v2.
 //
-// A v2 partition file is
+// A partition file is
 //
 //	Header  Block*  Trailer
 //
@@ -35,11 +35,10 @@
 // → fsync directory, so a crash never leaves a half-written file under the
 // partition's name.
 //
-// Files written before format v2 carry no magic; ReadPart sniffs the first
-// four bytes and falls back to the legacy bare-record-stream decoder. (A v1
-// record whose source vertex happens to equal 0x504c5047 — "GPLP" little-
-// endian, vertex ~1.3 billion — would be misidentified; the engine's vertex
-// spaces are nowhere near that.)
+// This is the only partition format: a file that does not start with a
+// valid header, a zero-byte file included, is corrupt. Partitions are
+// per-run scratch (the run journal's tag rejects another run's directory),
+// so no reader ever meets a file written in an older format.
 package storage
 
 import (
@@ -89,11 +88,9 @@ func corruptf(path, format string, args ...any) error {
 // PartInfo is the partition metadata a v2 header records.
 type PartInfo struct {
 	// Lo, Hi is the partition's vertex interval [Lo, Hi); both zero when the
-	// writer did not know it (legacy files, bare WriteFile calls).
+	// writer did not know it (a file AppendPart created).
 	Lo, Hi uint32
 }
-
-func (p PartInfo) known() bool { return p.Lo != 0 || p.Hi != 0 }
 
 func encodeHeader(info PartInfo) []byte {
 	buf := make([]byte, headerSize)
@@ -292,27 +289,13 @@ func WritePart(path string, edges []Edge, info PartInfo) (int64, error) {
 	return headerSize + bw.written + trailerSize, nil
 }
 
-// ReadOptions controls how ReadPart decodes partition files.
-type ReadOptions struct {
-	// LegacyDecode routes v2 block payloads through the field-by-field
-	// stream decoder instead of the zero-copy block cursor. The two produce
-	// identical edges and identical error classes; this is the ablation
-	// hook for the hotpath bench and the decode-equivalence tests. v1
-	// streams always use the stream decoder regardless.
-	LegacyDecode bool
-}
-
 // ReadPart loads all edges from path, appending to dst. A missing file
-// reads as empty (a partition no edge was ever written to). v2 files are
+// reads as empty (a partition no edge was ever written to). The file is
 // fully verified — header and block checksums, and a trailer whose counts
-// match what was decoded; legacy v1 files are decoded as bare record
-// streams. Returns the header's PartInfo (zero for v1) and bytes read.
+// match what was decoded — and any other content, a zero-byte file or one
+// without the format magic included, is an error wrapping ErrCorrupt.
+// Returns the header's PartInfo and the bytes read.
 func ReadPart(path string, dst []Edge) ([]Edge, PartInfo, int64, error) {
-	return ReadPartWith(path, dst, ReadOptions{})
-}
-
-// ReadPartWith is ReadPart with explicit decode options.
-func ReadPartWith(path string, dst []Edge, opt ReadOptions) ([]Edge, PartInfo, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -321,83 +304,67 @@ func ReadPartWith(path string, dst []Edge, opt ReadOptions) ([]Edge, PartInfo, i
 		return nil, PartInfo{}, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	sniff, err := r.Peek(4)
-	if err == io.EOF || (err == nil && !bytes.Equal(sniff, fileMagic[:])) {
-		// Legacy v1: a bare record stream (possibly empty).
-		edges, n, err := readLegacy(path, r, dst)
-		return edges, PartInfo{}, n, err
-	}
+	edges, info, read, err := scanPart(path, f, dst)
 	if err != nil {
-		return nil, PartInfo{}, 0, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, info, read, err
 	}
-	return readV2(path, r, dst, opt)
+	return edges, info, read, nil
 }
 
-func readLegacy(path string, r *bufio.Reader, dst []Edge) ([]Edge, int64, error) {
-	var n int64
-	for {
-		var e Edge
-		err := decodeRecord(r, &e, false)
-		if err == io.EOF {
-			return dst, n, nil
-		}
-		if err != nil {
-			return nil, n, fmt.Errorf("%s: %w", path, err)
-		}
-		n += RecordSize(&e)
-		dst = append(dst, e)
-	}
-}
-
-func readV2(path string, r *bufio.Reader, dst []Edge, opt ReadOptions) ([]Edge, PartInfo, int64, error) {
-	var cur blockCursor // arena persists across blocks: one element chunk serves many records
+// scanPart is the partition reader behind ReadPart and ReadPartPrefix. It
+// verifies the header, then decodes CRC-verified blocks through the
+// zero-copy cursor up to a trailer whose counts match what was decoded and
+// which must be followed by EOF. It returns dst grown by the edges of every
+// whole block decoded before the first failure, together with that failure
+// (nil for a valid file). read counts the verified bytes — header, whole
+// blocks, trailer — so it is zero exactly when the header itself failed.
+func scanPart(path string, f io.Reader, dst []Edge) (edges []Edge, info PartInfo, read int64, err error) {
+	r := bufio.NewReaderSize(f, 1<<20)
 	head := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, PartInfo{}, 0, corruptf(path, "short header: %v", err)
+		return dst, PartInfo{}, 0, corruptf(path, "short header: %v", err)
 	}
-	info, err := decodeHeader(path, head)
-	if err != nil {
-		return nil, PartInfo{}, 0, err
+	if info, err = decodeHeader(path, head); err != nil {
+		return dst, PartInfo{}, 0, err
 	}
-	bytesRead := int64(headerSize)
-	var gotEdges uint64
-	var gotBlocks uint32
+	read = headerSize
+	var cur blockCursor // arena persists across blocks: one element chunk serves many records
+	var decoded uint64
+	var blocks uint32
 	var payload []byte
 	for {
 		var tag [4]byte
 		if _, err := io.ReadFull(r, tag[:]); err != nil {
-			return nil, info, bytesRead, corruptf(path, "missing trailer (torn write?): %v", err)
+			return dst, info, read, corruptf(path, "missing trailer (torn write?): %v", err)
 		}
-		if bytes.Equal(tag[:], trailerMagic[:]) {
+		if tag == trailerMagic {
 			rest := make([]byte, trailerSize)
 			copy(rest, tag[:])
 			if _, err := io.ReadFull(r, rest[4:]); err != nil {
-				return nil, info, bytesRead, corruptf(path, "short trailer: %v", err)
+				return dst, info, read, corruptf(path, "short trailer: %v", err)
 			}
 			wantEdges, wantBlocks, err := decodeTrailer(path, rest)
 			if err != nil {
-				return nil, info, bytesRead, err
+				return dst, info, read, err
 			}
-			if wantEdges != gotEdges || wantBlocks != gotBlocks {
-				return nil, info, bytesRead, corruptf(path,
+			if wantEdges != decoded || wantBlocks != blocks {
+				return dst, info, read, corruptf(path,
 					"trailer promises %d edges in %d blocks, decoded %d in %d",
-					wantEdges, wantBlocks, gotEdges, gotBlocks)
+					wantEdges, wantBlocks, decoded, blocks)
 			}
 			if _, err := r.ReadByte(); err != io.EOF {
-				return nil, info, bytesRead, corruptf(path, "trailing garbage after trailer")
+				return dst, info, read, corruptf(path, "trailing garbage after trailer")
 			}
-			bytesRead += trailerSize
-			return dst, info, bytesRead, nil
+			return dst, info, read + trailerSize, nil
 		}
 		// Not the trailer: tag is a block header's payload length.
 		plen := binary.LittleEndian.Uint32(tag[:])
 		if plen == 0 || plen > maxBlockPayload {
-			return nil, info, bytesRead, corruptf(path, "implausible block length %d", plen)
+			return dst, info, read, corruptf(path, "implausible block length %d", plen)
 		}
 		var rest [blockHeaderSize - 4]byte
 		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			return nil, info, bytesRead, corruptf(path, "truncated block header: %v", err)
+			return dst, info, read, corruptf(path, "truncated block header: %v", err)
 		}
 		count := binary.LittleEndian.Uint32(rest[0:])
 		wantCRC := binary.LittleEndian.Uint32(rest[4:])
@@ -406,43 +373,30 @@ func readV2(path string, r *bufio.Reader, dst []Edge, opt ReadOptions) ([]Edge, 
 		}
 		payload = payload[:plen]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, info, bytesRead, corruptf(path, "truncated block payload: %v", err)
+			return dst, info, read, corruptf(path, "truncated block payload: %v", err)
 		}
 		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return nil, info, bytesRead, corruptf(path,
-				"block %d checksum mismatch (want %#x, got %#x)", gotBlocks, wantCRC, got)
+			return dst, info, read, corruptf(path,
+				"block %d checksum mismatch (want %#x, got %#x)", blocks, wantCRC, got)
 		}
-		if opt.LegacyDecode {
-			br := bytes.NewReader(payload)
-			for i := uint32(0); i < count; i++ {
-				var e Edge
-				if err := decodeRecord(br, &e, true); err != nil {
-					return nil, info, bytesRead, corruptf(path, "block %d record %d: %v", gotBlocks, i, err)
-				}
-				dst = append(dst, e)
+		// A failed block is dropped whole: dst keeps its length, and the
+		// records decoded into its spare capacity stay invisible.
+		grown, rec, err := cur.decodeBlock(payload, count, dst)
+		if err != nil {
+			if rec < count {
+				return dst, info, read, corruptf(path, "block %d record %d: %v", blocks, rec, err)
 			}
-			if br.Len() != 0 {
-				return nil, info, bytesRead, corruptf(path, "block %d: %d bytes of slack after %d records",
-					gotBlocks, br.Len(), count)
-			}
-		} else {
-			grown, rec, err := cur.decodeBlock(payload, count, dst)
-			if err != nil {
-				if rec < count {
-					return nil, info, bytesRead, corruptf(path, "block %d record %d: %v", gotBlocks, rec, err)
-				}
-				return nil, info, bytesRead, corruptf(path, "block %d: %d bytes of slack after %d records",
-					gotBlocks, cur.remaining(), count)
-			}
-			dst = grown
+			return dst, info, read, corruptf(path, "block %d: %d bytes of slack after %d records",
+				blocks, cur.remaining(), count)
 		}
-		bytesRead += int64(blockHeaderSize) + int64(plen)
-		gotEdges += uint64(count)
-		gotBlocks++
+		dst = grown
+		read += int64(blockHeaderSize) + int64(plen)
+		decoded += uint64(count)
+		blocks++
 	}
 }
 
-// ReadPartPrefix reads the first n edges of a v2 partition file, tolerating
+// ReadPartPrefix reads the first n edges of a partition file, tolerating
 // damage after that prefix. It is the resume path's reader: a journal record
 // promises that the file's first n edges are exactly the checkpointed
 // content (between checkpoints the engine only append-extends files or
@@ -454,8 +408,9 @@ func readV2(path string, r *bufio.Reader, dst []Edge, opt ReadOptions) ([]Edge, 
 // whole CRC-verified blocks count; decoding stops at the first invalid
 // block. If fewer than n edges are recoverable the file cannot back the
 // journal record and the error wraps ErrCorrupt. exact reports that the file
-// is a fully valid v2 file containing precisely n edges — when false the
-// caller should rewrite the file canonically before trusting appends to it.
+// is a fully valid partition file containing precisely n edges — when false
+// the caller should rewrite the file canonically before trusting appends to
+// it.
 func ReadPartPrefix(path string, n int64) (edges []Edge, info PartInfo, exact bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -465,85 +420,25 @@ func ReadPartPrefix(path string, n int64) (edges []Edge, info PartInfo, exact bo
 		return nil, PartInfo{}, false, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, PartInfo{}, false, corruptf(path, "short header: %v", err)
-	}
-	info, err = decodeHeader(path, head)
-	if err != nil {
-		return nil, PartInfo{}, false, err
-	}
-	var cur blockCursor // zero-copy decode, same arena reuse as readV2
-	var gotEdges uint64
-	var gotBlocks uint32
-	var payload []byte
-	clean := false // a valid trailer matching the decoded counts, then EOF
-	for {
-		var tag [4]byte
-		if _, err := io.ReadFull(r, tag[:]); err != nil {
-			break // truncated at a block boundary: prefix ends here
-		}
-		if bytes.Equal(tag[:], trailerMagic[:]) {
-			rest := make([]byte, trailerSize)
-			copy(rest, tag[:])
-			if _, err := io.ReadFull(r, rest[4:]); err != nil {
-				break
-			}
-			wantEdges, wantBlocks, err := decodeTrailer(path, rest)
-			if err != nil || wantEdges != gotEdges || wantBlocks != gotBlocks {
-				break
-			}
-			if _, err := r.ReadByte(); err == io.EOF {
-				clean = true
-			}
-			break
-		}
-		plen := binary.LittleEndian.Uint32(tag[:])
-		if plen == 0 || plen > maxBlockPayload {
-			break
-		}
-		var rest [blockHeaderSize - 4]byte
-		if _, err := io.ReadFull(r, rest[:]); err != nil {
-			break
-		}
-		count := binary.LittleEndian.Uint32(rest[0:])
-		wantCRC := binary.LittleEndian.Uint32(rest[4:])
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break
-		}
-		grown, _, err := cur.decodeBlock(payload, count, edges)
-		if err != nil {
-			break // CRC collision on garbage: drop the whole block
-		}
-		edges = grown
-		gotEdges += uint64(count)
-		gotBlocks++
-		// Even once the prefix is satisfied the scan continues: whether the
-		// remainder is a clean trailer decides exactness.
+	edges, info, read, err := scanPart(path, f, nil)
+	if read == 0 {
+		return nil, PartInfo{}, false, err // damaged header: nothing is recoverable
 	}
 	if int64(len(edges)) < n {
 		return nil, info, false, corruptf(path,
 			"journal promises %d edges, only %d recoverable", n, len(edges))
 	}
-	exact = clean && int64(gotEdges) == n
-	return edges[:n], info, exact, nil
+	return edges[:n], info, err == nil && int64(len(edges)) == n, nil
 }
 
-// AppendPart appends edges to a partition file, creating a v2 file when
-// none exists. For a v2 file the existing trailer is verified, overwritten
-// by the new blocks, and a new trailer committing the grown counts is
-// written and fsynced; a crash mid-append leaves the file without a valid
-// trailer, which the next ReadPart rejects (the partial append is never
-// silently half-visible). Legacy v1 files keep receiving bare v1 records.
-// Returns the bytes written.
+// AppendPart appends edges to a partition file, creating it when none
+// exists. The existing header and trailer are verified, the trailer is
+// overwritten by the new blocks, and a new trailer committing the grown
+// counts is written and fsynced; a crash mid-append leaves the file without
+// a valid trailer, which the next ReadPart rejects (the partial append is
+// never silently half-visible). A file that fails verification — a
+// zero-byte file or one without the format magic included — is left
+// untouched and reported as ErrCorrupt. Returns the bytes written.
 func AppendPart(path string, edges []Edge) (int64, error) {
 	if len(edges) == 0 {
 		return 0, nil
@@ -556,21 +451,19 @@ func AppendPart(path string, edges []Edge) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
-	var sniff [4]byte
-	n, err := f.ReadAt(sniff[:], 0)
-	if err != nil && err != io.EOF {
-		return 0, err
-	}
-	if n < 4 || !bytes.Equal(sniff[:], fileMagic[:]) {
-		return appendLegacy(f, edges)
-	}
-
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return 0, err
 	}
 	if size < headerSize+trailerSize {
-		return 0, corruptf(path, "v2 file too short for header+trailer: %d bytes", size)
+		return 0, corruptf(path, "file too short for header+trailer: %d bytes", size)
+	}
+	head := make([]byte, headerSize)
+	if _, err := f.ReadAt(head, 0); err != nil {
+		return 0, err
+	}
+	if _, err := decodeHeader(path, head); err != nil {
+		return 0, err
 	}
 	tr := make([]byte, trailerSize)
 	if _, err := f.ReadAt(tr, size-trailerSize); err != nil {
@@ -602,48 +495,4 @@ func AppendPart(path string, edges []Edge) (int64, error) {
 		return 0, err
 	}
 	return bw.written + trailerSize, nil
-}
-
-func appendLegacy(f *os.File, edges []Edge) (int64, error) {
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		return 0, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var buf []byte
-	var n int64
-	for i := range edges {
-		var err error
-		buf, err = AppendRecord(buf[:0], &edges[i])
-		if err != nil {
-			return 0, err
-		}
-		if _, err := w.Write(buf); err != nil {
-			return 0, err
-		}
-		n += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		return 0, err
-	}
-	return n, f.Sync()
-}
-
-// WriteFile writes edges to path in format v2 (atomic, fsynced) without
-// recording a vertex interval. Kept for callers that do not track partition
-// metadata; the engine uses WritePart.
-func WriteFile(path string, edges []Edge) error {
-	_, err := WritePart(path, edges, PartInfo{})
-	return err
-}
-
-// ReadFile loads all edges from path, appending to dst.
-func ReadFile(path string, dst []Edge) ([]Edge, error) {
-	out, _, _, err := ReadPart(path, dst)
-	return out, err
-}
-
-// AppendFile appends edges to path (creating it if needed).
-func AppendFile(path string, edges []Edge) error {
-	_, err := AppendPart(path, edges)
-	return err
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"math/rand"
@@ -10,44 +9,9 @@ import (
 	"testing"
 )
 
-// FuzzReadRecord exercises the legacy v1 record decoder on arbitrary bytes:
-// it must never panic and never read out of bounds, returning an error (or
-// clean EOF) for malformed input. Run with:
-// go test -fuzz=FuzzReadRecord ./internal/storage
-func FuzzReadRecord(f *testing.F) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 8; i++ {
-		e := randEdge(rng)
-		rec, err := AppendRecord(nil, &e)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(rec)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0x01})
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
-		for i := 0; i < 4; i++ { // a few records per input
-			var e Edge
-			if err := ReadRecord(r, &e); err != nil {
-				return
-			}
-			// A decoded record must re-encode without panicking.
-			if len(e.Enc) > 255 {
-				t.Fatalf("decoder produced oversized encoding: %d", len(e.Enc))
-			}
-			if _, err := AppendRecord(nil, &e); err != nil {
-				t.Fatalf("decoded record failed to re-encode: %v", err)
-			}
-		}
-	})
-}
-
-// FuzzDecodeRecordV2 exercises both v2 record decoders — the legacy stream
-// form and the zero-copy block cursor — on arbitrary bytes, requiring them
-// to agree byte for byte. Seeds come from decodeV2Seeds, shared with the
+// FuzzDecodeRecordV2 exercises the zero-copy block cursor and the reference
+// stream decoder on arbitrary bytes, requiring them to agree byte for
+// byte. Seeds come from decodeV2Seeds, shared with the
 // decode-equivalence property test. Run with:
 // go test -fuzz=FuzzDecodeRecordV2 ./internal/storage
 func FuzzDecodeRecordV2(f *testing.F) {
@@ -60,7 +24,7 @@ func FuzzDecodeRecordV2(f *testing.F) {
 		cur.reset(data)
 		for i := 0; i < 4; i++ {
 			var e, ce Edge
-			err := decodeRecord(r, &e, true)
+			err := refDecodeRecord(r, &e)
 			cerr := cur.decodeRecord(&ce)
 			if (err == nil) != (cerr == nil) {
 				t.Fatalf("decoders diverge: stream %v, cursor %v", err, cerr)
@@ -79,7 +43,7 @@ func FuzzDecodeRecordV2(f *testing.F) {
 			// Round-trip: a decoded record must re-encode to a decodable form.
 			back := appendRecordV2(nil, &e)
 			var e2 Edge
-			if err := decodeRecord(bytes.NewReader(back), &e2, true); err != nil {
+			if err := refDecodeRecord(bytes.NewReader(back), &e2); err != nil {
 				t.Fatalf("re-encoded record failed to decode: %v", err)
 			}
 			if !edgesEqual(e, e2) {
@@ -89,10 +53,12 @@ func FuzzDecodeRecordV2(f *testing.F) {
 	})
 }
 
-// FuzzReadPart exercises the whole-file reader — magic sniffing, header and
-// block CRC verification, trailer commit check, and the v1 fallback — on
-// arbitrary file contents. It must reject or decode every input without
-// panicking. Run with:
+// FuzzReadPart exercises the whole-file reader — header and block CRC
+// verification, the trailer commit check — on arbitrary file contents. It
+// must reject or decode every input without panicking; every rejection
+// wraps ErrCorrupt, a file without the format magic (a zero-byte file
+// included) is always rejected, and what it accepts the reference decoder
+// must decode to the same edges. Run with:
 // go test -fuzz=FuzzReadPart ./internal/storage
 func FuzzReadPart(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
@@ -111,14 +77,12 @@ func FuzzReadPart(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	var legacy []byte
+	// Bare records without the magic: the pre-v2 layout, which must reject.
+	var bare []byte
 	for i := range edges[:5] {
-		legacy, err = AppendRecord(legacy, &edges[i])
-		if err != nil {
-			f.Fatal(err)
-		}
+		bare = appendRecordV2(bare, &edges[i])
 	}
-	f.Add(legacy)
+	f.Add(bare)
 	f.Add([]byte{})
 	f.Add([]byte("GPLP"))
 	f.Add(bytes.Repeat([]byte{0x00}, headerSize+trailerSize))
@@ -127,7 +91,28 @@ func FuzzReadPart(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		_, _, _, _ = ReadPart(path, nil)
+		got, _, _, err := ReadPart(path, nil)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection not tagged ErrCorrupt: %v", err)
+			}
+			return
+		}
+		if !bytes.HasPrefix(data, fileMagic[:]) {
+			t.Fatalf("accepted %d bytes without the format magic", len(data))
+		}
+		want, _, err := refReadPart(path)
+		if err != nil {
+			t.Fatalf("ReadPart accepted a file the reference decoder rejects: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ReadPart decoded %d edges, reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if !edgesEqual(got[i], want[i]) {
+				t.Fatalf("edge %d diverges: %+v vs %+v", i, got[i], want[i])
+			}
+		}
 	})
 }
 
